@@ -23,7 +23,7 @@ from repro.engine.temporal_plans import KernelTemporalAlgebra
 SIZES = scaled([250, 500, 1000])
 
 # The experiment reads the *join strategy* off the plan, so the row pipeline
-# is pinned: with the columnar dispatch left on, large inputs would take the
+# is pinned: with the columnar dispatch left on, every input would take the
 # ColumnarAdjustment batch and there would be no group-construction join to
 # observe (that comparison lives in the columnar_adjustment bench scenario).
 SETTINGS = {

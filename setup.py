@@ -1,9 +1,8 @@
 """Setuptools shim.
 
 The project is configured through ``pyproject.toml``; this file exists so
-that fully offline environments (no ``wheel`` package available) can fall
-back to the legacy ``setup.py develop`` editable-install path via
-``pip install -e . --no-build-isolation``.
+that environments without the ``wheel`` package (which ``pip install -e .``
+needs) can still make an editable install with ``python setup.py develop``.
 """
 
 from setuptools import setup

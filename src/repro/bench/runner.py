@@ -18,7 +18,9 @@ and record:
 Every report also embeds a snapshot of the process metrics registry
 (``repro.obs.metrics``) under the top-level ``"metrics"`` key — the same
 counters/histograms ``SHOW METRICS`` and the ``--metrics-port`` endpoint
-expose on a live server.
+expose on a live server.  :func:`main` zeroes the registry (registrations
+kept) before each scenario, so a report's snapshot counts that scenario
+only.
 
 Result equality is a **hard** gate: any mismatch raises
 :class:`BenchmarkError` and the process exits non-zero, which is what the CI
@@ -147,9 +149,9 @@ def _row_settings() -> Settings:
     """Settings pinning the serial row pipeline (no parallel, no columnar).
 
     The serial baseline of every strategy comparison: with the columnar
-    dispatch enabled by default, an unpinned "serial" execution of a large
-    input would silently become a columnar batch and the scenario would
-    compare columnar against itself.
+    dispatch enabled by default, an unpinned "serial" execution of an
+    equi-θ adjustment would silently become a columnar batch and the
+    scenario would compare columnar against itself.
     """
     return Settings(parallel_workers=0, enable_columnar=False)
 
@@ -171,14 +173,12 @@ def _parallel_settings(workers: int) -> Settings:
         parallel_min_rows=0.0,
         parallel_pickle_cost=0.0,  # lift the transport gate too: adoption is
         parallel_shm_cost=0.0,  # forced; the executor still picks the real ship
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
     )
 
 
 def _columnar_settings() -> Settings:
     """Settings that adopt the columnar batch plan whenever it is eligible."""
-    return Settings(parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0)
+    return Settings(parallel_workers=0)
 
 
 def _partition_columnar_settings(workers: int) -> Settings:
@@ -187,8 +187,6 @@ def _partition_columnar_settings(workers: int) -> Settings:
         parallel_workers=workers,
         parallel_setup_cost=0.0,
         parallel_min_rows=0.0,
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
     )
 
 
@@ -356,21 +354,10 @@ def run_columnar_adjustment(
       dispatch must be visible in EXPLAIN, not inferred from timings;
     * under ``REPRO_BENCH_STRICT`` (default on; CI relaxes it) the columnar
       alignment must beat the row pipeline by ≥4x at full-scale sizes.
-
-    Without NumPy the scenario records a skip marker instead of failing:
-    the pure-Python kernels exist for correctness, not for speed, and the
-    no-NumPy CI job proves them through the test suite.
     """
-    from repro.columnar.runtime import numpy_available
-
     sizes = sizes or scaled_sizes(COLUMNAR_SIZES)
     strict = os.environ.get("REPRO_BENCH_STRICT", "1") != "0"
     scenarios: List[dict] = [dict(ROW_MODE_MICRO_OPT_NOTE)]
-    if not numpy_available():
-        print("[columnar_adjustment] NumPy unavailable: recording skip marker")
-        scenarios.append({"scenario": "columnar_adjustment", "skipped": "numpy unavailable"})
-        return scenarios
-
     for family, generator in sorted(FAMILIES.items()):
         for size in sizes:
             left, right = generator(config=SyntheticConfig(size=size, categories=100, seed=42))
@@ -1300,7 +1287,7 @@ def _chaos_engine_round(workers: int) -> dict:
     """Pool/shm faults under a real partition-parallel ALIGN.
 
     A clean parallel run first proves the baseline is healthy (identical to
-    serial; with NumPy it must actually ship via shared memory, so the
+    serial; it must actually ship via shared memory, so the
     faulted runs below disturb a live shm exchange rather than an
     already-degraded fallback).  Then each fault — shm segment creation
     failing, a worker dying, a worker stalling — is armed for one run, and
@@ -1309,8 +1296,6 @@ def _chaos_engine_round(workers: int) -> dict:
     shared-memory segments leaked in ``/dev/shm``.
     """
     import warnings
-
-    from repro.columnar.runtime import numpy_available
 
     size = max(200, int(800 * SCALE))
     left, right = generate_random(
@@ -1339,17 +1324,19 @@ def _chaos_engine_round(workers: int) -> dict:
             f"chaos_engine: clean parallel run diverged from serial "
             f"({len(clean)} vs {len(serial)} rows)"
         )
-    if numpy_available() and shm_ships() <= ships_before:
+    if shm_ships() <= ships_before:
         raise BenchmarkError(
             "chaos_engine: clean parallel run never shipped via shared "
             "memory — the shm fault runs below would be vacuous"
         )
 
-    specs = ["pool.worker_kill:count=1", "pool.worker_stall:count=1:ms=5"]
-    if numpy_available():
-        # The first segment creation is parent-side (input blocks are built
-        # before any worker exists), so the injected count is observable.
-        specs.insert(0, "shm.create_fail:count=1")
+    # The first segment creation is parent-side (input blocks are built
+    # before any worker exists), so the injected count is observable.
+    specs = [
+        "shm.create_fail:count=1",
+        "pool.worker_kill:count=1",
+        "pool.worker_stall:count=1:ms=5",
+    ]
     injected: Dict[str, int] = {}
     for spec in specs:
         site = spec.split(":", 1)[0]
@@ -1385,7 +1372,6 @@ def _chaos_engine_round(workers: int) -> dict:
         "scenario": "chaos_engine_faults",
         "size": size,
         "workers": workers,
-        "numpy": numpy_available(),
         "faults": sorted(injected),
         "injected": injected,
         "identical": True,
@@ -1809,9 +1795,10 @@ def write_report(name: str, scenarios: List[dict], output_dir: str, workers: int
         "platform": platform.platform(),
         "cpu_count": os.cpu_count(),
         "scenarios": scenarios,
-        # The process metrics registry as of report time: what the scenarios
-        # drove through the engine (commits, fsyncs, plan dispatch, cache
-        # hits) — the same snapshot a live server returns for SHOW METRICS.
+        # The process metrics registry as of report time: what this report's
+        # scenarios drove through the engine (commits, fsyncs, plan dispatch,
+        # cache hits; ``main`` zeroes it before each scenario) — the same
+        # snapshot a live server returns for SHOW METRICS.
         "metrics": obs_metrics.REGISTRY.snapshot(),
     }
     os.makedirs(output_dir, exist_ok=True)
@@ -1905,6 +1892,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     names = arguments.scenario or sorted(NATIVE_SCENARIOS)
     failed = False
     for name in names:
+        # Each report's metrics snapshot covers its own scenario only.
+        obs_metrics.REGISTRY.reset()
         try:
             scenarios = _run_scenario(
                 name,
@@ -1920,6 +1909,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         write_report(name, scenarios, arguments.output_dir, arguments.workers)
 
     if arguments.legacy:
+        obs_metrics.REGISTRY.reset()
         results = [run_legacy_suite(path) for path in arguments.legacy]
         write_report("legacy_suites", results, arguments.output_dir, arguments.workers)
         failed = failed or any(result["returncode"] != 0 for result in results)

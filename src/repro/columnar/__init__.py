@@ -4,14 +4,13 @@ The hot paths of alignment and normalization walk Python objects one tuple
 at a time; this package re-expresses them as whole-array operations over a
 columnar encoding of the relation (int64 endpoint arrays plus a
 dictionary-encoded equality key, see :mod:`repro.columnar.encoding`) with
-NumPy-backed kernels (:mod:`repro.columnar.kernels`) and pure-Python twins
-so NumPy stays an optional dependency.
+NumPy kernels (:mod:`repro.columnar.kernels`).
 
 Consumers:
 
 * the relation-level operators (``align_relation``/``normalize``) expose a
-  ``"columnar"`` strategy and auto-dispatch through
-  :mod:`repro.columnar.dispatch`;
+  ``"columnar"`` strategy, which their ``"auto"`` strategy picks whenever θ
+  is absent or an equality key;
 * the engine's ``ColumnarAdjustmentNode`` and the partition-parallel workers
   execute :class:`~repro.engine.executor.partition.AdjustmentTask` batches
   through :mod:`repro.columnar.rows`.
@@ -20,9 +19,9 @@ Everything here is bound by one hard contract: row mode and columnar mode
 produce the identical relation on every input.
 """
 
-from repro.columnar.dispatch import auto_columnar, min_columnar_tuples
 from repro.columnar.encoding import (
     ColumnarFrame,
+    ColumnarUnsupported,
     encode_keys,
     encode_relation,
     peek_endpoint_arrays,
@@ -34,20 +33,15 @@ from repro.columnar.kernels import (
     normalize_pieces_from_intervals,
     overlap_pairs,
 )
-from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar, kernel_mode
-from repro.columnar.runtime import forced_python, numpy_available
+from repro.columnar.rows import adjust_rows_columnar
 
 __all__ = [
     "ColumnarFrame",
     "ColumnarUnsupported",
     "adjust_rows_columnar",
     "align_pieces",
-    "auto_columnar",
     "encode_keys",
     "encode_relation",
-    "forced_python",
-    "kernel_mode",
-    "min_columnar_tuples",
     "normalize_pieces",
     "normalize_pieces_from_intervals",
     "overlap_pairs",

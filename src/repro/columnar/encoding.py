@@ -11,31 +11,47 @@ Encodings are cached on the relation through
 :meth:`TemporalRelation.derived`, split into two entries so independent key
 sets share the endpoint arrays:
 
-* ``("columnar", "endpoints", backend)`` — the ``starts``/``ends`` arrays;
-* ``("columnar", "keys", backend, attrs)`` — codes + dictionary per key set.
+* ``("columnar", "endpoints")`` — the ``starts``/``ends`` arrays;
+* ``("columnar", "keys", attrs)`` — codes + dictionary per key set.
 
 Both entries are dropped by the relation's ``_after_mutation`` funnel like
 every other derived structure, so a cached frame can never describe stale
-tuples.  ``backend`` distinguishes NumPy arrays from the pure-Python list
-fallback (the two must not be mixed when tests force the fallback on).
+tuples.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.columnar.runtime import numpy_or_none
+import numpy as np
 
 #: Dictionary code meaning "this row's key matches no row of the other side".
 NO_MATCH = -1
+
+
+class ColumnarUnsupported(Exception):
+    """The values cannot be columnar-encoded; use the row path instead."""
+
+
+def int64_column(values: Iterable[int]) -> Any:
+    """``values`` as an ``int64`` array.
+
+    Interval endpoints are unbounded Python ints; one outside ``int64``
+    raises :exc:`ColumnarUnsupported` so the caller runs the row path,
+    which handles any int.
+    """
+    try:
+        return np.fromiter(values, dtype=np.int64)
+    except OverflowError:
+        raise ColumnarUnsupported("interval bound outside the int64 range") from None
 
 
 class ColumnarFrame:
     """Endpoint arrays + dictionary-encoded key column of one relation.
 
     ``starts``/``ends``/``codes`` are parallel to the relation's tuple list
-    (insertion order); ``key_index`` maps key value tuples to dense codes.
-    Arrays are ``numpy.int64`` when NumPy is active, plain lists otherwise.
+    (insertion order) ``numpy.int64`` arrays; ``key_index`` maps key value
+    tuples to dense codes.
     """
 
     __slots__ = ("starts", "ends", "codes", "key_index")
@@ -48,17 +64,6 @@ class ColumnarFrame:
 
     def __len__(self) -> int:
         return len(self.starts)
-
-
-def _backend() -> str:
-    return "np" if numpy_or_none() is not None else "py"
-
-
-def _int_array(values: List[int]):
-    np = numpy_or_none()
-    if np is None:
-        return values
-    return np.asarray(values, dtype=np.int64)
 
 
 def encode_keys(
@@ -78,7 +83,7 @@ def encode_keys(
             codes.append(code)
     else:
         codes = [key_index.get(key, NO_MATCH) for key in keys]
-    return _int_array(codes), key_index
+    return np.asarray(codes, dtype=np.int64), key_index
 
 
 def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
@@ -91,15 +96,12 @@ def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
     cached :class:`~repro.temporal.interval_index.IntervalIndex`.
     """
     attrs = tuple(attributes)
-    backend = _backend()
 
     def build_endpoints():
-        starts: List[int] = []
-        ends: List[int] = []
-        for t in relation:
-            starts.append(t.start)
-            ends.append(t.end)
-        return _int_array(starts), _int_array(ends)
+        return (
+            int64_column(t.start for t in relation),
+            int64_column(t.end for t in relation),
+        )
 
     def build_keys():
         if attrs:
@@ -107,8 +109,8 @@ def encode_relation(relation, attributes: Sequence[str] = ()) -> ColumnarFrame:
         codes, index = encode_keys([()] * len(relation))
         return codes, index
 
-    starts, ends = relation.derived(("columnar", "endpoints", backend), build_endpoints)
-    codes, key_index = relation.derived(("columnar", "keys", backend, attrs), build_keys)
+    starts, ends = relation.derived(("columnar", "endpoints"), build_endpoints)
+    codes, key_index = relation.derived(("columnar", "keys", attrs), build_keys)
     return ColumnarFrame(starts, ends, codes, key_index)
 
 
@@ -126,11 +128,8 @@ def remap_codes(frame: ColumnarFrame, target: ColumnarFrame):
     table = [NO_MATCH] * (len(frame.key_index) + 1)
     for key, code in frame.key_index.items():
         table[code] = target.key_index.get(key, NO_MATCH)
-    np = numpy_or_none()
-    if np is not None and not isinstance(frame.codes, list):
-        lookup = np.asarray(table + [NO_MATCH], dtype=np.int64)
-        return lookup[frame.codes]
-    return [table[code] if code >= 0 else NO_MATCH for code in frame.codes]
+    lookup = np.asarray(table, dtype=np.int64)
+    return lookup[frame.codes]
 
 
 def peek_endpoint_arrays(relation) -> Optional[Tuple[Any, Any]]:
@@ -140,8 +139,4 @@ def peek_endpoint_arrays(relation) -> Optional[Tuple[Any, Any]]:
     columnar encoding when present without invalidating or populating the
     relation's derived caches (pinned by a regression test).
     """
-    for backend in ("np", "py"):
-        cached = relation.peek_derived(("columnar", "endpoints", backend))
-        if cached is not None:
-            return cached
-    return None
+    return relation.peek_derived(("columnar", "endpoints"))

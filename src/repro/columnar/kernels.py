@@ -8,12 +8,9 @@ is a pair of ``searchsorted`` sweeps over endpoint arrays sorted by
 ``repeat``/``cumsum``.  Result tuples are materialised only by the callers,
 at the columnar/row boundary.
 
-Every kernel has a pure-Python twin (``bisect`` over the same sorted arrays)
-selected automatically when NumPy is unavailable — or on demand via the
-``use_numpy`` argument — and both produce **identical** output, piece for
-piece, in the same order.  That parity is a hard gate: the property tests and
-the benchmark runner compare the kernels against the row-at-a-time sweep on
-every run.
+The row-at-a-time plane sweep stays the reference: the property tests and
+the benchmark runner compare these kernels against it on every run, piece
+for piece, in the same order.
 
 Pair semantics
 --------------
@@ -41,10 +38,9 @@ interpreter.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from repro.columnar.runtime import numpy_or_none, resolve_use_numpy
+import numpy as np
 
 #: Kernel output: parallel lists ``(left row position, start, end)``.
 Pieces = Tuple[List[int], List[int], List[int]]
@@ -60,7 +56,6 @@ def overlap_pairs(
     r_starts,
     r_ends,
     r_codes,
-    use_numpy: Optional[bool] = None,
     include_empty: bool = False,
 ) -> Tuple[List[int], List[int]]:
     """Matching ``(left position, right position)`` pairs of the overlap join.
@@ -69,16 +64,11 @@ def overlap_pairs(
     must be applied per pair (the "row mode per group" fallback for opaque
     θ); :func:`align_pieces` embeds the same enumeration.
     """
-    if resolve_use_numpy(use_numpy):
-        np = numpy_or_none()
-        li, ri = _np_pairs(
-            np,
-            *_np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
-            include_empty=include_empty,
-        )
-        return li.tolist(), ri.tolist()
-    pairs = _py_pairs(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
-    return [i for i, _ in pairs], [j for _, j in pairs]
+    li, ri = _pairs(
+        *_int64(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
+        include_empty=include_empty,
+    )
+    return li.tolist(), ri.tolist()
 
 
 def align_pieces(
@@ -88,7 +78,6 @@ def align_pieces(
     r_starts,
     r_ends,
     r_codes,
-    use_numpy: Optional[bool] = None,
     include_empty: bool = False,
 ) -> Pieces:
     """The temporal aligner, batched: intersections and gaps per left row.
@@ -99,24 +88,13 @@ def align_pieces(
     interval; empty left intervals produce nothing (unless ``include_empty``
     reproduces the engine's degenerate-piece behaviour).
     """
-    if resolve_use_numpy(use_numpy):
-        np = numpy_or_none()
-        return _np_align(
-            np,
-            *_np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
-            include_empty=include_empty,
-        )
-    return _py_align(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty)
+    return _align(
+        *_int64(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes),
+        include_empty=include_empty,
+    )
 
 
-def normalize_pieces(
-    l_starts,
-    l_ends,
-    l_codes,
-    points,
-    point_codes,
-    use_numpy: Optional[bool] = None,
-) -> Pieces:
+def normalize_pieces(l_starts, l_ends, l_codes, points, point_codes) -> Pieces:
     """The temporal splitter, batched: split each left interval at the
     key-matching points that fall strictly inside it.
 
@@ -124,15 +102,7 @@ def normalize_pieces(
     (the engine's ``π_{B,Ts}(s) ∪ π_{B,Te}(s)``); duplicates are welcome and
     deduplicated here.  Points with negative codes never match.
     """
-    if resolve_use_numpy(use_numpy):
-        np = numpy_or_none()
-        ls = np.asarray(l_starts, dtype=np.int64)
-        le = np.asarray(l_ends, dtype=np.int64)
-        lc = np.asarray(l_codes, dtype=np.int64)
-        pts = np.asarray(points, dtype=np.int64)
-        pc = np.asarray(point_codes, dtype=np.int64)
-        return _np_normalize(np, ls, le, lc, pts, pc)
-    return _py_normalize(l_starts, l_ends, l_codes, points, point_codes)
+    return _normalize(*_int64(l_starts, l_ends, l_codes, points, point_codes))
 
 
 def normalize_pieces_from_intervals(
@@ -142,7 +112,6 @@ def normalize_pieces_from_intervals(
     r_starts,
     r_ends,
     r_codes,
-    use_numpy: Optional[bool] = None,
     include_empty: bool = False,
 ) -> Pieces:
     """:func:`normalize_pieces` with the point column derived from reference
@@ -151,35 +120,21 @@ def normalize_pieces_from_intervals(
     ``include_empty=False`` skips empty reference intervals — the
     relation-level semantics (an empty tuple belongs to no group, Def. 9).
     """
-    points: List[int] = []
-    codes: List[int] = []
-    for start, end, code in zip(r_starts, r_ends, r_codes):
-        if code < 0:
-            continue
-        if not include_empty and end <= start:
-            continue
-        points.append(start)
-        codes.append(code)
-        points.append(end)
-        codes.append(code)
-    return normalize_pieces(l_starts, l_ends, l_codes, points, codes, use_numpy=use_numpy)
+    rs, re, rc = _int64(r_starts, r_ends, r_codes)
+    usable = rc >= 0 if include_empty else (rc >= 0) & (re > rs)
+    points = np.concatenate([rs[usable], re[usable]])
+    codes = np.concatenate([rc[usable], rc[usable]])
+    return normalize_pieces(l_starts, l_ends, l_codes, points, codes)
 
 
-# -- NumPy kernels -----------------------------------------------------------------------
+# -- kernels ---------------------------------------------------------------------------
 
 
-def _np_inputs(np, l_starts, l_ends, l_codes, r_starts, r_ends, r_codes):
-    return (
-        np.asarray(l_starts, dtype=np.int64),
-        np.asarray(l_ends, dtype=np.int64),
-        np.asarray(l_codes, dtype=np.int64),
-        np.asarray(r_starts, dtype=np.int64),
-        np.asarray(r_ends, dtype=np.int64),
-        np.asarray(r_codes, dtype=np.int64),
-    )
+def _int64(*columns):
+    return tuple(np.asarray(column, dtype=np.int64) for column in columns)
 
 
-def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
+def _pairs(ls, le, lc, rs, re, rc, include_empty, vals=None):
     """Enumerate matching pairs as two ``int64`` index arrays.
 
     Composite sort keys ``code * M + rank(point)`` (with ``rank`` the
@@ -187,7 +142,7 @@ def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
     the largest rank) make a single ``searchsorted`` respect the
     lexicographic ``(code, point)`` order without overflow concerns.
     ``vals`` lets a caller that already holds the distinct-endpoint array
-    (``_np_align``) share it instead of paying the dominant sort twice.
+    (``_align``) share it instead of paying the dominant sort twice.
     """
     empty = np.empty(0, dtype=np.int64)
     if len(ls) == 0 or len(rs) == 0:
@@ -216,7 +171,7 @@ def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
     hi = np.searchsorted(r_comp_sorted, lc[lsel] * M + rank(le[lsel]), side="left")
     counts = np.maximum(hi - lo, 0)
     li1 = np.repeat(lsel, counts)
-    ri1 = r_global[_ragged_positions(np, lo, counts)]
+    ri1 = r_global[_ragged_positions(lo, counts)]
 
     # Straddlers: the left start lies inside the right interval — a range of
     # the left side sorted by (code, start), enumerated per right row.
@@ -228,7 +183,7 @@ def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
     hi2 = np.searchsorted(l_comp_sorted, rc[rsel] * M + rank(re[rsel]), side="left")
     counts2 = np.maximum(hi2 - lo2, 0)
     ri2 = np.repeat(rsel, counts2)
-    li2 = l_global[_ragged_positions(np, lo2, counts2)]
+    li2 = l_global[_ragged_positions(lo2, counts2)]
     # Degenerate left rows need the strict half of the predicate re-checked.
     strict = rs[ri2] < le[li2]
     li2, ri2 = li2[strict], ri2[strict]
@@ -236,7 +191,7 @@ def _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=None):
     return np.concatenate([li1, li2]), np.concatenate([ri1, ri2])
 
 
-def _ragged_positions(np, offsets, counts):
+def _ragged_positions(offsets, counts):
     """Concatenate the ranges ``offsets[k] : offsets[k] + counts[k]``."""
     total = int(counts.sum())
     if total == 0:
@@ -247,13 +202,13 @@ def _ragged_positions(np, offsets, counts):
     return np.repeat(offsets, counts) + within
 
 
-def _np_align(np, ls, le, lc, rs, re, rc, include_empty):
+def _align(ls, le, lc, rs, re, rc, include_empty):
     n = len(ls)
     if n == 0:
         return [], [], []
     vals = np.unique(np.concatenate([ls, le, rs, re]))
     M = np.int64(vals.size + 1)
-    li, ri = _np_pairs(np, ls, le, lc, rs, re, rc, include_empty, vals=vals)
+    li, ri = _pairs(ls, le, lc, rs, re, rc, include_empty, vals=vals)
 
     out_rows: List = []
     out_starts: List = []
@@ -329,7 +284,7 @@ def _np_align(np, ls, le, lc, rs, re, rc, include_empty):
     return rows[order].tolist(), starts[order].tolist(), ends[order].tolist()
 
 
-def _np_normalize(np, ls, le, lc, pts, pc):
+def _normalize(ls, le, lc, pts, pc):
     n = len(ls)
     if n == 0:
         return [], [], []
@@ -375,123 +330,8 @@ def _np_normalize(np, ls, le, lc, pts, pc):
     starts[begin] = ls[live]
     ends[offsets - 1] = le[live]
     if int(counts.sum()):
-        interior = val_sorted[_ragged_positions(np, lo, counts)]
-        slots = _ragged_positions(np, begin, counts)
+        interior = val_sorted[_ragged_positions(lo, counts)]
+        slots = _ragged_positions(begin, counts)
         starts[slots + 1] = interior
         ends[slots] = interior
     return rows.tolist(), starts.tolist(), ends.tolist()
-
-
-# -- pure-Python kernels ------------------------------------------------------------------
-
-
-def _py_pairs(
-    l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty
-) -> List[Tuple[int, int]]:
-    """The bisect twin of :func:`_np_pairs` (same classes, same predicate)."""
-    ls, le, lc = list(l_starts), list(l_ends), list(l_codes)
-    rs, re, rc = list(r_starts), list(r_ends), list(r_codes)
-
-    by_code_right: Dict[int, List[Tuple[int, int]]] = {}
-    for j, code in enumerate(rc):
-        if code < 0 or (not include_empty and re[j] <= rs[j]):
-            continue
-        by_code_right.setdefault(code, []).append((rs[j], j))
-    by_code_left: Dict[int, List[Tuple[int, int]]] = {}
-    for i, code in enumerate(lc):
-        if code < 0 or (not include_empty and le[i] <= ls[i]):
-            continue
-        by_code_left.setdefault(code, []).append((ls[i], i))
-    for entries in by_code_right.values():
-        entries.sort()
-    for entries in by_code_left.values():
-        entries.sort()
-
-    pairs: List[Tuple[int, int]] = []
-    for code, left_entries in by_code_left.items():
-        right_entries = by_code_right.get(code)
-        if not right_entries:
-            continue
-        starts_only = [start for start, _ in right_entries]
-        for start, i in left_entries:
-            for k in range(
-                bisect_right(starts_only, start), bisect_left(starts_only, le[i])
-            ):
-                pairs.append((i, right_entries[k][1]))
-    for code, right_entries in by_code_right.items():
-        left_entries = by_code_left.get(code)
-        if not left_entries:
-            continue
-        starts_only = [start for start, _ in left_entries]
-        for start, j in right_entries:
-            for k in range(
-                bisect_left(starts_only, start), bisect_left(starts_only, re[j])
-            ):
-                i = left_entries[k][1]
-                if start < le[i]:
-                    pairs.append((i, j))
-    return pairs
-
-
-def _py_align(l_starts, l_ends, l_codes, r_starts, r_ends, r_codes, include_empty) -> Pieces:
-    ls, le = list(l_starts), list(l_ends)
-    rs, re = list(r_starts), list(r_ends)
-    pairs = _py_pairs(ls, le, l_codes, rs, re, r_codes, include_empty)
-    emit_empty_dangling = include_empty  # engine mode, see the NumPy twin
-    by_left: Dict[int, List[Tuple[int, int]]] = {}
-    for i, j in pairs:
-        by_left.setdefault(i, []).append((max(ls[i], rs[j]), min(le[i], re[j])))
-
-    rows: List[int] = []
-    starts: List[int] = []
-    ends: List[int] = []
-
-    def emit(i: int, a: int, b: int) -> None:
-        rows.append(i)
-        starts.append(a)
-        ends.append(b)
-
-    for i in range(len(ls)):
-        bounds = by_left.get(i)
-        if not bounds:
-            if emit_empty_dangling or le[i] > ls[i]:
-                emit(i, ls[i], le[i])
-            continue
-        bounds.sort()
-        sweep = ls[i]
-        previous = None
-        for a, b in bounds:
-            if sweep < a:
-                emit(i, sweep, a)
-                sweep = a
-            if (a, b) != previous:
-                emit(i, a, b)
-                previous = (a, b)
-            if b > sweep:
-                sweep = b
-        if sweep < le[i]:
-            emit(i, sweep, le[i])
-    return rows, starts, ends
-
-
-def _py_normalize(l_starts, l_ends, l_codes, points, point_codes) -> Pieces:
-    by_code: Dict[int, List[int]] = {}
-    for point, code in zip(points, point_codes):
-        if code >= 0:
-            by_code.setdefault(code, []).append(point)
-    split_points = {code: sorted(set(pts)) for code, pts in by_code.items()}
-
-    rows: List[int] = []
-    starts: List[int] = []
-    ends: List[int] = []
-    for i, (start, end, code) in enumerate(zip(l_starts, l_ends, l_codes)):
-        if end <= start:
-            continue
-        pts: Sequence[int] = split_points.get(code, ())
-        interior = pts[bisect_right(pts, start) : bisect_left(pts, end)]
-        bounds = [start, *interior, end]
-        for a, b in zip(bounds, bounds[1:]):
-            rows.append(i)
-            starts.append(a)
-            ends.append(b)
-    return rows, starts, ends

@@ -10,8 +10,9 @@ left rows (the pipeline's partition sort makes them one group) and of null
 join keys (an equality θ over ``ω`` is false, so such rows stay dangling).
 
 :exc:`ColumnarUnsupported` signals inputs the encoding cannot batch
-(non-integer interval bounds); callers then fall back to the row pipeline,
-so adopting a columnar plan can never change a query's result.
+(interval bounds that are not integers or do not fit ``int64``); callers
+then fall back to the row pipeline, so adopting a columnar plan can never
+change a query's result.
 """
 
 from __future__ import annotations
@@ -20,20 +21,10 @@ import functools
 from typing import Any, List, Sequence, Tuple
 
 from repro.columnar import kernels
-from repro.columnar.encoding import NO_MATCH
-from repro.columnar.runtime import numpy_available
+from repro.columnar.encoding import NO_MATCH, ColumnarUnsupported, int64_column
 from repro.relation.tuple import is_null
 
 Row = Tuple[Any, ...]
-
-
-class ColumnarUnsupported(Exception):
-    """The rows cannot be columnar-encoded; use the row pipeline instead."""
-
-
-def kernel_mode() -> str:
-    """Which kernel backend a columnar execution will use right now."""
-    return "numpy" if numpy_available() else "python"
 
 
 def _row_compare(left: Row, right: Row) -> int:
@@ -65,8 +56,8 @@ def _sorted_unique(rows: Sequence[Row]) -> List[Row]:
     return unique
 
 
-def _bound_column(rows: Sequence[Row], index: int) -> List[int]:
-    """Integer interval-bound column; raises when a value cannot be batched."""
+def _bound_column(rows: Sequence[Row], index: int) -> Any:
+    """Interval-bound column as ``int64``; raises when it cannot be batched."""
     values: List[int] = []
     for row in rows:
         value = row[index]
@@ -75,7 +66,7 @@ def _bound_column(rows: Sequence[Row], index: int) -> List[int]:
                 f"interval bound at column {index} is {value!r}, not an integer"
             )
         values.append(value)
-    return values
+    return int64_column(values)
 
 
 def _key_codes(

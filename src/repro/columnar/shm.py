@@ -28,9 +28,8 @@ is reclaimed by the parent.  Double-creation after an in-process retry of a
 half-dead pool is handled by unlinking the stale segment first.
 
 The transport is opt-in down a fallback ladder (see
-:func:`shm_available`): NumPy must be importable (the arrays are ndarray
-views), the platform must provide POSIX/Windows shared memory, and the
-``REPRO_SHM`` environment knob must not be ``0``.  Any miss raises
+:func:`shm_available`): the platform must provide POSIX/Windows shared
+memory, and the ``REPRO_SHM`` environment knob must not be ``0``.  Any miss raises
 :class:`ShmUnavailable` before work starts and the caller falls back to the
 pickled-row path — the transport may change *where* bytes live, never what
 the query returns.
@@ -42,9 +41,10 @@ import uuid
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro import faults
 from repro.columnar import kernels
-from repro.columnar.runtime import numpy_or_none
 from repro.core.parallel import code_partition_order, parallel_map_with_mode
 
 if TYPE_CHECKING:  # pragma: no cover - the checker always sees the module
@@ -81,17 +81,16 @@ class ShmUnavailable(RuntimeError):
 def shm_available() -> bool:
     """Whether the shared-memory columnar transport can run right now.
 
-    Requires NumPy (``REPRO_NO_NUMPY`` and :func:`~repro.columnar.runtime.
-    forced_python` gate it off like every other vectorized path), an
-    importable ``multiprocessing.shared_memory``, and ``REPRO_SHM`` unset or
-    truthy — ``REPRO_SHM=0`` forces the pickled-row transport, which is how
-    tests and operators exercise the fallback without patching anything.
+    Requires an importable ``multiprocessing.shared_memory`` and
+    ``REPRO_SHM`` unset or truthy — ``REPRO_SHM=0`` forces the pickled-row
+    transport, which is how tests and operators exercise the fallback
+    without patching anything.
     """
     import os
 
     if os.environ.get("REPRO_SHM", "1") == "0":
         return False
-    return _shared_memory is not None and numpy_or_none() is not None
+    return _shared_memory is not None
 
 
 @dataclass(frozen=True)
@@ -201,7 +200,6 @@ def _create_segment(name: str, nbytes: int) -> _shared_memory.SharedMemory:
 
 def write_block(segment: Any, arrays: Sequence[Any]) -> SegmentBlock:
     """Serialise ``int64`` arrays into an (already sized) segment."""
-    np = numpy_or_none()
     lengths = tuple(int(len(array)) for array in arrays)
     header = np.asarray([MAGIC, len(arrays), *lengths], dtype=np.int64)
     view = np.ndarray(
@@ -227,7 +225,6 @@ def read_block(segment: Any, lengths: Sequence[int]) -> List[Any]:
     closing the segment.  The header is validated against ``lengths`` so a
     torn or foreign segment fails loudly instead of yielding garbage rows.
     """
-    np = numpy_or_none()
     count = len(lengths)
     header = np.ndarray((2 + count,), dtype=np.int64, buffer=segment.buf)
     if header[0] != MAGIC or header[1] != count or list(header[2:]) != list(lengths):
@@ -286,7 +283,6 @@ def run_shm_job(job: ShmJob) -> Optional[Tuple[str, Tuple[int, ...]]]:
     ``job.result_name``.  Returns the result block address, or ``None`` when
     the partition produced nothing (no segment is created then).
     """
-    np = numpy_or_none()
     left_segment, (l_starts, l_ends, l_codes) = attach_block(job.left)
     right_segment, right_arrays = attach_block(job.right)
     try:
@@ -368,7 +364,6 @@ def shm_adjustment(
 
     if not shm_available():
         raise ShmUnavailable("shared-memory transport disabled or unavailable")
-    np = numpy_or_none()
     partitions = max(1, partitions)
 
     unique = _sorted_unique(left_rows)

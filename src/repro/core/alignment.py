@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from typing import Any, List, Optional, Sequence, Tuple
 
-from repro.columnar import dispatch as columnar_dispatch
+from repro.columnar import encoding, kernels
+from repro.columnar.encoding import ColumnarUnsupported
 from repro.core import parallel as parallel_support
 from repro.core.primitives import align_tuple
 from repro.core.sweep import KeyFunction, ThetaPredicate, overlap_groups, value_key
@@ -68,18 +69,15 @@ def align_relation(
         the equality key and sweeps the partitions through a worker pool
         (in-process below :func:`repro.core.parallel.min_pool_tuples` input
         tuples, or when the θ predicate cannot be shipped to workers);
+        ``"columnar"`` encodes both relations into int64 endpoint arrays with
+        dictionary-encoded keys and runs the vectorized batch kernels of
+        :mod:`repro.columnar`; with an opaque θ the overlap join still runs
+        vectorized and the θ filter plus per-group aligner run in row mode,
+        and bounds outside ``int64`` fall back to ``"sweep"``.
         ``"auto"`` (default) probes the index when the reference already has
-        one cached and sweeps otherwise, so repeated callers get the
-        amortised path without a flag; ``"columnar"`` encodes both relations
-        into int64 endpoint arrays with dictionary-encoded keys and runs the
-        vectorized batch kernels of :mod:`repro.columnar` (NumPy when
-        available, a pure-Python twin otherwise — results are identical).
-        ``"auto"`` additionally picks the columnar path cost-based
-        (:func:`repro.columnar.dispatch.auto_columnar`): NumPy importable, θ
-        absent or an equality key, and the combined input above the
-        crossover.  An opaque θ never auto-dispatches — with an explicit
-        ``"columnar"`` request the overlap join still runs vectorized and
-        the θ filter plus per-group aligner fall back to row mode.
+        one cached, so repeated callers keep the amortised path without a
+        flag; otherwise it picks ``"columnar"`` when θ is absent (an equality
+        key is captured by the encoding) and ``"sweep"`` for an opaque θ.
     workers:
         Pool size for the ``"parallel"`` strategy (default: the
         ``REPRO_PARALLEL_WORKERS`` environment variable, else the CPU
@@ -119,19 +117,15 @@ def align_relation(
         return _align_parallel(
             relation, reference, theta, equi_attributes, index_attrs, workers
         )
-    if strategy == "columnar":
-        return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
-    if (
-        strategy == "auto"
-        and not reference.has_interval_index(index_attrs)
-        and columnar_dispatch.auto_columnar(
-            len(relation), len(reference), opaque_theta=theta is not None
-        )
-    ):
-        return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
+    indexed = strategy == "auto" and reference.has_interval_index(index_attrs)
+    if strategy == "columnar" or (strategy == "auto" and theta is None and not indexed):
+        try:
+            return _align_columnar(relation, reference, theta, equi_attributes, index_attrs)
+        except ColumnarUnsupported:
+            pass  # bounds outside int64: the sweep below handles any int
 
     index = None
-    if strategy == "index" or (strategy == "auto" and reference.has_interval_index(index_attrs)):
+    if strategy == "index" or indexed:
         index = reference.interval_index(index_attrs)
 
     groups = overlap_groups(
@@ -170,8 +164,6 @@ def _align_columnar(
     group is filtered and aligned in row mode, which preserves the exact
     semantics of the sweep strategies.
     """
-    from repro.columnar import encoding, kernels
-
     left_frame = encoding.encode_relation(relation, equi_attributes or ())
     right_frame = encoding.encode_relation(reference, reference_equi_attributes)
     left_codes = encoding.remap_codes(left_frame, right_frame)

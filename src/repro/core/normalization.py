@@ -21,7 +21,8 @@ from __future__ import annotations
 from collections import defaultdict
 from typing import Any, Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.columnar import dispatch as columnar_dispatch
+from repro.columnar import encoding, kernels
+from repro.columnar.encoding import ColumnarUnsupported
 from repro.core import parallel as parallel_support
 from repro.relation.errors import SchemaError
 from repro.relation.relation import TemporalRelation
@@ -52,10 +53,9 @@ def normalize(
     :func:`repro.core.parallel.min_pool_tuples`); ``"columnar"`` encodes the
     reference endpoints and the ``B`` keys into arrays and generates the
     split pieces with the vectorized batch kernels of :mod:`repro.columnar`
-    (pure-Python twin when NumPy is absent).  ``"auto"`` picks the columnar
-    path cost-based (NumPy importable and the combined input above the
-    crossover of :func:`repro.columnar.dispatch.auto_columnar`) and sweeps
-    otherwise.  All strategies produce the same relation.
+    (bounds outside ``int64`` fall back to ``"sweep"``); ``"auto"``
+    (default) picks ``"columnar"``.  All strategies produce the same
+    relation.
 
     The result keeps the schema of ``relation``.  Every result tuple is
     derived from exactly one input tuple (its lineage); change preservation
@@ -74,11 +74,11 @@ def normalize(
 
     if strategy == "parallel":
         return _normalize_parallel(relation, reference, attrs, workers)
-    if strategy == "columnar" or (
-        strategy == "auto"
-        and columnar_dispatch.auto_columnar(len(relation), len(reference))
-    ):
-        return _normalize_columnar(relation, reference, attrs)
+    if strategy in ("auto", "columnar"):
+        try:
+            return _normalize_columnar(relation, reference, attrs)
+        except ColumnarUnsupported:
+            pass  # bounds outside int64: the sweep below handles any int
 
     split_points = _split_points_by_key(reference, attrs)
 
@@ -104,8 +104,6 @@ def _normalize_columnar(
     ``searchsorted``/``repeat`` pass; tuples materialise only here at the
     boundary.
     """
-    from repro.columnar import encoding, kernels
-
     left_frame = encoding.encode_relation(relation, attrs)
     right_frame = encoding.encode_relation(reference, attrs)
     left_codes = encoding.remap_codes(left_frame, right_frame)

@@ -23,6 +23,8 @@ import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Hashable, List, Sequence, Tuple, TypeVar
 
+import numpy as np
+
 from repro import faults
 from repro.obs import metrics as obs_metrics
 from repro.relation.tuple import is_null
@@ -109,19 +111,13 @@ def code_partition_order(codes: Any, partition_count: int) -> Tuple[Any, Any, An
     the partition ids — taking an array through it groups rows by ascending
     partition while preserving the incoming order within each partition —
     and ``offsets[p] : offsets[p] + counts[p]`` slices partition ``p`` out
-    of the taken array.  Requires NumPy (the callers are the shared-memory
-    columnar paths, which are NumPy-gated anyway).
+    of the taken array.
     """
-    from repro.columnar.runtime import numpy_or_none
-
-    np = numpy_or_none()
-    if np is None:
-        raise RuntimeError("code_partition_order requires NumPy")
     code_array = np.asarray(codes, dtype=np.int64)
     ids = np.where(code_array >= 0, code_array % partition_count, 0)
     order = np.argsort(ids, kind="stable")
     counts = np.bincount(ids, minlength=partition_count)
-    offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    offsets = np.cumsum(counts) - counts
     return order, offsets, counts
 
 

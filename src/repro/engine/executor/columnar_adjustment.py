@@ -4,16 +4,16 @@ Where the serial plan streams a group-construction join through project,
 sort and the plane sweep (Fig. 12(b)), :class:`ColumnarAdjustmentNode`
 materialises both inputs once, encodes their interval bounds and equality
 keys into arrays, and produces the full output in one batched kernel pass
-(:mod:`repro.columnar`).  The node is chosen cost-based by the planner —
-only for conditions that are pure equalities (anything else needs per-row
-evaluation) and inputs past the columnar crossover — and appears in
+(:mod:`repro.columnar`).  The planner picks it for every condition that is
+a pure equality (anything else needs per-row evaluation), and it appears in
 ``EXPLAIN`` as ``ColumnarAdjustment(...)``, so the row/column dispatch is as
 visible as the join-strategy choice.
 
 Correctness never depends on the choice: if the materialised rows cannot be
-batch-encoded (non-integer bounds), the node transparently re-runs the
-equivalent serial row pipeline over the same rows, exactly like the
-partition-parallel executor falls back in-process.  A traced execution
+batch-encoded (bounds that are not integers or do not fit ``int64``), the
+node transparently re-runs the equivalent serial row pipeline over the
+same rows, exactly like the partition-parallel executor falls back
+in-process.  A traced execution
 (``EXPLAIN ANALYZE``) annotates the span with which path executed.
 """
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Iterator
 
-from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar, kernel_mode
+from repro.columnar.rows import ColumnarUnsupported, adjust_rows_columnar
 from repro.engine.executor.base import PhysicalNode, Row
 from repro.engine.executor.partition import AdjustmentTask, run_adjustment_task
 from repro.obs import trace as obs_trace
@@ -57,14 +57,14 @@ class ColumnarAdjustmentNode(PhysicalNode):
         left_rows = list(self.left)
         right_rows = list(self.right)
         try:
-            mode = kernel_mode()
             result = adjust_rows_columnar(self.task, left_rows, right_rows)
+            mode = "columnar"
         except ColumnarUnsupported:
             mode = "row-fallback"
             result = run_adjustment_task(
                 replace(self.task, use_columnar=False), left_rows, right_rows
             )
-        # Recorded on the trace span (``executed=numpy|python|row-fallback``),
+        # Recorded on the trace span (``executed=columnar|row-fallback``),
         # never on the node, so a silently degraded batch is visible in
         # EXPLAIN ANALYZE without leaking state between executions.
         obs_trace.annotate(self, executed=mode)

@@ -31,8 +31,8 @@ pickling them both ways, the exchange encodes both inputs once into
 vectorized take, and ships only segment names + offsets to the workers (see
 :mod:`repro.columnar.shm`).  Result rows are decoded at the merge boundary
 in the parent.  The pickled-row path below stays the runtime fallback —
-non-integer bounds, a disabled/absent shared-memory facility, or a missing
-NumPy silently revert to it — and a traced execution (``EXPLAIN ANALYZE``)
+bounds the encoding cannot batch or a disabled/absent shared-memory
+facility silently revert to it — and a traced execution (``EXPLAIN ANALYZE``)
 annotates the exchange span with the transport that actually ran
 (``ship=shm|pickle``).
 

@@ -545,14 +545,6 @@ class Planner:
             physical = NestedLoopJoinNode(left, right, kind, condition)
         return self._estimated(physical, estimate)
 
-    def _columnar_enabled(self) -> bool:
-        """Whether columnar plans may be considered at all (switch + NumPy)."""
-        if not self.settings.enable_columnar:
-            return False
-        from repro.columnar.runtime import numpy_available
-
-        return numpy_available()
-
     def _dispatch_adjustment(
         self,
         left: PhysicalNode,
@@ -577,12 +569,12 @@ class Planner:
 
         The parallel plan keeps its cost gate against the serial estimate;
         when it is not adopted, a ``ColumnarAdjustment`` batch replaces the
-        serial pipeline if the condition is a pure equality, the combined
-        input clears ``columnar_min_rows`` and
-        :func:`~repro.engine.optimizer.cost.columnar_adjustment_cost`
-        undercuts the serial estimate.
+        serial pipeline whenever the condition is a pure equality and
+        ``enable_columnar`` is on — at every input size, since the batch
+        wins from a few dozen rows up.  An opaque θ keeps the row pipeline.
         """
-        columnar_ok = pure_equality and self._columnar_enabled()
+        settings = self.settings
+        columnar_ok = pure_equality and settings.enable_columnar
         parallel = self._parallel_adjustment_plan(
             left,
             right,
@@ -602,49 +594,52 @@ class Planner:
         if parallel is not None:
             _STRATEGY_COUNTER.inc(label="exchange")
             return parallel
-        if columnar_ok:
-            settings = self.settings
-            left_estimate = self._estimate(left)
-            right_estimate = self._estimate(right)
-            if left_estimate.rows + right_estimate.rows >= settings.columnar_min_rows:
-                columnar_estimate = cost.columnar_adjustment_cost(
-                    settings, left_estimate, right_estimate, serial_estimate
-                )
-                if columnar_estimate.cost < serial_estimate.cost:
-                    if overlap:
-                        rows = cost.overlap_join_rows(
-                            settings, left_estimate, right_estimate, "left", selectivity
-                        )
-                    else:
-                        rows = cost.join_output_rows(
-                            settings, left_estimate, right_estimate, bool(keys), "left"
-                        )
-                    candidates = self._join_candidates(
-                        left_estimate, right_estimate, rows, keys, overlap=overlap
-                    )
-                    _, strategy = min(candidates, key=lambda item: item[0].cost)
-                    task = AdjustmentTask(
-                        left_columns=tuple(left.columns),
-                        right_columns=tuple(right.columns),
-                        join_strategy=strategy,
-                        join_kind="left",
-                        condition=condition,
-                        key_pairs=tuple(keys),
-                        bounds=bounds,
-                        projections=tuple(projections),
-                        sort_width=len(projections),
-                        group_width=group_width,
-                        ts_index=ts_index,
-                        te_index=te_index,
-                        isalign=isalign,
-                        use_columnar=True,
-                    )
-                    _STRATEGY_COUNTER.inc(label="columnar")
-                    return self._estimated(
-                        ColumnarAdjustmentNode(left, right, task), columnar_estimate
-                    )
-        _STRATEGY_COUNTER.inc(label="row")
-        return serial
+        if not columnar_ok:
+            _STRATEGY_COUNTER.inc(label="row")
+            return serial
+
+        left_estimate = self._estimate(left)
+        right_estimate = self._estimate(right)
+        # The join strategy only matters if the batch falls back to the row
+        # pipeline at runtime (ColumnarUnsupported).
+        if overlap:
+            rows = cost.overlap_join_rows(
+                settings, left_estimate, right_estimate, "left", selectivity
+            )
+        else:
+            rows = cost.join_output_rows(
+                settings, left_estimate, right_estimate, bool(keys), "left"
+            )
+        candidates = self._join_candidates(
+            left_estimate, right_estimate, rows, keys, overlap=overlap
+        )
+        _, strategy = min(candidates, key=lambda item: item[0].cost)
+        task = AdjustmentTask(
+            left_columns=tuple(left.columns),
+            right_columns=tuple(right.columns),
+            join_strategy=strategy,
+            join_kind="left",
+            condition=condition,
+            key_pairs=tuple(keys),
+            bounds=bounds,
+            projections=tuple(projections),
+            sort_width=len(projections),
+            group_width=group_width,
+            ts_index=ts_index,
+            te_index=te_index,
+            isalign=isalign,
+            use_columnar=True,
+        )
+        # One encoding pass over both inputs plus the emitted pieces.
+        columnar_estimate = Estimate(
+            rows=serial_estimate.rows,
+            cost=left_estimate.cost
+            + right_estimate.cost
+            + settings.cpu_operator_cost * (left_estimate.rows + right_estimate.rows)
+            + settings.cpu_tuple_cost * serial_estimate.rows,
+        )
+        _STRATEGY_COUNTER.inc(label="columnar")
+        return self._estimated(ColumnarAdjustmentNode(left, right, task), columnar_estimate)
 
     def _parallel_adjustment_plan(
         self,

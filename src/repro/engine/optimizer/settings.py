@@ -61,7 +61,7 @@ class Settings:
     #: parallel adjustment runs with columnar kernels, partitions ship as
     #: zero-copy ``multiprocessing.shared_memory`` frames instead of pickled
     #: rows (see :mod:`repro.columnar.shm`).  The executor still falls back
-    #: to pickled rows at runtime when shared memory or NumPy is missing;
+    #: to pickled rows at runtime when shared memory is missing;
     #: ``REPRO_SHM=0`` forces the fallback without touching settings.
     enable_shm: bool = True
     #: Per-row transport cost of the pickled-row exchange: every row shipped
@@ -76,22 +76,10 @@ class Settings:
 
     #: Allow columnar batch execution of ALIGN/NORMALIZE: a
     #: ``ColumnarAdjustment`` node replacing the serial row pipeline, and
-    #: columnar kernels inside partition-parallel workers.  Requires NumPy
-    #: (the planner falls back to row plans without it) and a θ that is
-    #: absent or a pure equality — an opaque residual predicate cannot be
-    #: batch-evaluated.
+    #: columnar kernels inside partition-parallel workers.  Applies to every
+    #: θ that is absent or a pure equality, at any input size; an opaque
+    #: residual predicate cannot be batch-evaluated and keeps the row plan.
     enable_columnar: bool = True
-    #: Minimum combined input cardinality before a columnar plan is
-    #: considered; below it the encoding overhead dominates.
-    columnar_min_rows: float = 1024.0
-    #: Fixed cost of a columnar execution (encoding both inputs, building
-    #: the dictionaries) — the analogue of ``parallel_setup_cost``.
-    columnar_setup_cost: float = 24.0
-    #: Fraction of the serial per-row adjustment work a vectorized batch
-    #: pays; the cost model multiplies the serial work above the inputs by
-    #: this factor.  Smaller values make the optimizer adopt columnar plans
-    #: earlier.
-    columnar_cost_factor: float = 0.12
 
     #: Allow the planner to substitute matching materialized views
     #: (``ViewScan`` nodes) for ALIGN/NORMALIZE subtrees and view-name scans.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from repro.bench import runner
+from repro.obs import metrics as obs_metrics
 
 
 def test_scaled_sizes_keep_deterministic_minimum_and_monotonicity():
@@ -51,12 +52,6 @@ def test_view_maintenance_scenarios_enforce_equality(tmp_path, monkeypatch):
 
 
 def test_columnar_adjustment_scenarios_and_gates(tmp_path, monkeypatch):
-    import pytest
-
-    from repro.columnar.runtime import numpy_available
-
-    if not numpy_available():
-        pytest.skip("NumPy not installed; the scenario records a skip marker")
     monkeypatch.setenv("REPRO_BENCH_STRICT", "0")  # timings are noise at n=60
     scenarios = runner.run_columnar_adjustment(sizes=[60], workers=2, repeats=1)
     note, *measured = scenarios
@@ -73,17 +68,6 @@ def test_columnar_adjustment_scenarios_and_gates(tmp_path, monkeypatch):
     with open(path, encoding="utf-8") as handle:
         payload = json.load(handle)
     assert payload["scenarios"][1]["scenario"] == "columnar_adjustment"
-
-
-def test_columnar_adjustment_skips_without_numpy(monkeypatch):
-    from repro.columnar.runtime import forced_python
-
-    with forced_python():
-        scenarios = runner.run_columnar_adjustment(sizes=[40], workers=2, repeats=1)
-    assert scenarios[-1] == {
-        "scenario": "columnar_adjustment",
-        "skipped": "numpy unavailable",
-    }
 
 
 def test_profile_flag_dumps_cumulative_hot_paths(tmp_path, capsys):
@@ -123,6 +107,78 @@ def test_main_writes_reports(tmp_path):
     )
     assert code == 0
     assert (tmp_path / "BENCH_parallel_normalization.json").exists()
+
+
+def test_each_report_counts_only_its_own_scenario(tmp_path, monkeypatch):
+    # Two scenarios in one main() call: the second report's metrics snapshot
+    # must not carry the counts the first scenario drove into the registry.
+    hits = obs_metrics.counter("bench.test_hits")
+
+    def scenario(count):
+        def run(sizes, workers, repeats):
+            hits.inc(count)
+            return [{"scenario": "probe"}]
+
+        return run
+
+    monkeypatch.setattr(
+        runner, "NATIVE_SCENARIOS", {"first": scenario(3), "second": scenario(5)}
+    )
+    code = runner.main(
+        ["--scenario", "first", "--scenario", "second", "--output-dir", str(tmp_path)]
+    )
+    assert code == 0
+    counts = {}
+    for name in ("first", "second"):
+        with open(tmp_path / f"BENCH_{name}.json", encoding="utf-8") as handle:
+            counts[name] = json.load(handle)["metrics"]["bench.test_hits"]["value"]
+    assert counts == {"first": 3, "second": 5}
+
+
+def test_legacy_report_does_not_inherit_scenario_counts(tmp_path, monkeypatch):
+    # The wrapped pytest harnesses run in a subprocess, so nothing they do
+    # reaches this registry: their report must not show the native
+    # scenario's counts either.
+    hits = obs_metrics.counter("bench.test_hits")
+
+    def native(sizes, workers, repeats):
+        hits.inc(4)
+        return [{"scenario": "probe"}]
+
+    monkeypatch.setattr(runner, "NATIVE_SCENARIOS", {"native": native})
+    monkeypatch.setattr(
+        runner, "run_legacy_suite", lambda path: {"scenario": "legacy", "returncode": 0}
+    )
+    code = runner.main(
+        ["--scenario", "native", "--legacy", "bench_x.py", "--output-dir", str(tmp_path)]
+    )
+    assert code == 0
+    with open(tmp_path / "BENCH_legacy_suites.json", encoding="utf-8") as handle:
+        metrics = json.load(handle)["metrics"]
+    assert metrics["bench.test_hits"]["value"] == 0
+
+
+def test_strategy_settings_pin_their_plans():
+    from repro.engine.database import Database
+    from repro.engine.expressions import Column, Comparison
+    from repro.engine.temporal_plans import align_plan, scan
+    from repro.workloads.synthetic import SyntheticConfig, generate_random
+
+    left, right = generate_random(config=SyntheticConfig(size=20, categories=4, seed=1))
+    database = Database()
+    database.register_relation("l", left)
+    database.register_relation("r", right)
+    plan = align_plan(
+        scan(database, "l", "l"),
+        scan(database, "r", "r"),
+        Comparison("=", Column("l.cat"), Column("r.cat")),
+    )
+    row = database.explain(plan, runner._row_settings()).splitlines()[0]
+    columnar = database.explain(plan, runner._columnar_settings()).splitlines()[0]
+    partitioned = database.explain(plan, runner._partition_columnar_settings(2)).splitlines()[0]
+    assert row.startswith("Adjustment(align)")
+    assert columnar.startswith("ColumnarAdjustment(align")
+    assert partitioned.startswith("Exchange(align") and "kernel=columnar" in partitioned
 
 
 def test_scaled_sizes_dedupe_collapsing_sweeps_at_ci_scale():

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnar.runtime import forced_python, numpy_available
+from repro.columnar import shm
+from repro.columnar.rows import adjust_rows_columnar
 from repro.engine.database import Database
 from repro.engine.executor import ExchangeNode
 from repro.engine.expressions import Column, Comparison
@@ -21,18 +22,11 @@ from repro.engine.temporal_plans import align_plan, normalize_plan, scan
 from repro.obs import trace as obs_trace
 from repro.workloads.synthetic import SyntheticConfig, generate_random
 
-pytestmark = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
-
-from repro.columnar import shm  # noqa: E402  (module import is NumPy-free)
-from repro.columnar.rows import adjust_rows_columnar  # noqa: E402
-
 #: Adopt the Exchange plan for tiny test relations (no cost gates).
 PARALLEL = Settings(
     parallel_workers=2,
     parallel_setup_cost=0.0,
     parallel_min_rows=0.0,
-    columnar_min_rows=0.0,
-    columnar_setup_cost=0.0,
 )
 
 
@@ -76,10 +70,6 @@ class TestAvailability:
         assert shm.shm_available()
         monkeypatch.setenv("REPRO_SHM", "0")
         assert not shm.shm_available()
-
-    def test_numpy_gate(self):
-        with forced_python():
-            assert not shm.shm_available()
 
     def test_adjustment_raises_before_any_segment_exists(self, monkeypatch):
         exchange = _exchange()  # planned before the knob flips

@@ -3,6 +3,7 @@
 import pytest
 
 from repro import predicates
+from repro.columnar import peek_endpoint_arrays
 from repro.core.alignment import align_pair, align_relation, alignment_cardinality_bound
 from repro.core.sweep import matching_groups, overlap_groups, uncovered_intervals, value_key
 from repro.temporal.interval import Interval
@@ -148,3 +149,39 @@ class TestSweepHelpers:
         gaps = uncovered_intervals(Interval(0, 10), [Interval(2, 4), Interval(3, 6)])
         assert gaps == [Interval(0, 2), Interval(6, 10)]
         assert uncovered_intervals(Interval(0, 10), [Interval(-5, 20)]) == []
+
+
+class TestAutoStrategy:
+    """``strategy="auto"``: index probe when cached, else columnar unless θ
+    is opaque.  The path taken is read off the relation caches: only the
+    columnar path encodes the reference's endpoint arrays."""
+
+    def test_absent_theta_takes_columnar_even_for_one_tuple(self, make):
+        r = make(["v"], [("a", 1, 7)])
+        s = make(["v"], [("a", 2, 5)])
+        result = align_relation(r, s, equi_attributes=["v"])
+        assert peek_endpoint_arrays(s) is not None
+        assert result == align_relation(r, s, equi_attributes=["v"], strategy="sweep")
+
+    def test_opaque_theta_sweeps(self, small_pair):
+        left, right = small_pair
+        theta = predicates.attr_eq("cat")
+        result = align_relation(left, right, theta)
+        assert peek_endpoint_arrays(right) is None
+        assert result == align_relation(left, right, theta, strategy="columnar")
+
+    def test_cached_interval_index_wins_over_columnar(self, small_pair):
+        left, right = small_pair
+        right.interval_index(["cat"])
+        result = align_relation(left, right, equi_attributes=["cat"])
+        assert peek_endpoint_arrays(right) is None
+        assert result == align_relation(left, right, equi_attributes=["cat"], strategy="sweep")
+
+    @pytest.mark.parametrize("strategy", ["auto", "columnar"])
+    def test_bounds_beyond_int64_fall_back_to_the_sweep(self, make, strategy):
+        r = make(["v"], [("a", 0, 2**63)])
+        s = make(["v"], [("a", 3, 6)])
+        result = align_relation(r, s, equi_attributes=["v"], strategy=strategy)
+        assert sorted(t.interval for t in result) == [
+            Interval(0, 3), Interval(3, 6), Interval(6, 2**63)
+        ]

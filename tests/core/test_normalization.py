@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.columnar import peek_endpoint_arrays
 from repro.core.normalization import (
     normalization_output_size,
     normalize,
@@ -9,6 +10,7 @@ from repro.core.normalization import (
     self_normalize,
 )
 from repro.relation.errors import SchemaError
+from repro.temporal.interval import Interval
 from repro.workloads.hotel import HOTEL_TIMELINE
 from repro.workloads.incumben import IncumbenConfig, generate_incumben
 
@@ -116,3 +118,24 @@ class TestOutputSize:
         ssn = normalization_output_size(relation, relation, ("ssn",))
         assert none >= pcn >= ssn >= len(relation)
         assert none > ssn  # strict on any realistically overlapping dataset
+
+
+class TestAutoStrategy:
+    def test_auto_takes_columnar_at_any_size(self, make):
+        r = make(["v"], [("a", 0, 10)])
+        s = make(["v"], [("a", 2, 4)])
+        result = normalize(r, s, ["v"])
+        assert peek_endpoint_arrays(s) is not None
+        assert result == normalize(r, s, ["v"], strategy="sweep")
+        assert sorted(t.interval for t in result) == [
+            Interval(0, 2), Interval(2, 4), Interval(4, 10)
+        ]
+
+    @pytest.mark.parametrize("strategy", ["auto", "columnar"])
+    def test_bounds_beyond_int64_fall_back_to_the_sweep(self, make, strategy):
+        r = make(["v"], [("a", 0, 2**63)])
+        s = make(["v"], [("a", 3, 6)])
+        result = normalize(r, s, ["v"], strategy=strategy)
+        assert sorted(t.interval for t in result) == [
+            Interval(0, 3), Interval(3, 6), Interval(6, 2**63)
+        ]

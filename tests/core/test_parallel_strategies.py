@@ -142,6 +142,16 @@ def test_partition_indexes_stable_and_in_range():
     assert all(0 <= i < 8 for i in ids)
 
 
+def test_code_partition_order_groups_codes_stably():
+    codes = [3, -1, 0, 2, 3, -1, 1]
+    order, offsets, counts = parallel_support.code_partition_order(codes, 2)
+    # Partition 0 holds even codes and the no-match code -1, partition 1
+    # the odd codes; within a partition the incoming order is kept.
+    assert order.tolist() == [1, 2, 3, 5, 0, 4, 6]
+    assert offsets.tolist() == [0, 4]
+    assert counts.tolist() == [4, 3]
+
+
 class TestFallbackIsLoudAndObservable:
     """A requested pool that cannot run must warn (once) and self-identify.
 

@@ -125,17 +125,20 @@ class TestPlanner:
         database = self._database()
         database.register_relation("inc", hotel_reservations())
         plan = normalize_plan(scan(database, "inc", "x"), scan(database, "inc", "y"), ["n"])
-        with_hash = database.plan(plan, Settings(enable_mergejoin=False)).explain()
+        # The group-construction join exists only in the row pipeline.
+        row = Settings(enable_columnar=False)
+        with_hash = database.plan(plan, row.copy(enable_mergejoin=False)).explain()
         assert "HashJoin" in with_hash
-        nl_only = database.plan(plan, Settings(enable_mergejoin=False,
-                                               enable_hashjoin=False)).explain()
+        nl_only = database.plan(plan, row.copy(enable_mergejoin=False,
+                                                enable_hashjoin=False)).explain()
         assert "NestedLoopJoin" in nl_only
 
     def test_explain_contains_adjustment_node(self):
         database = self._database()
         plan = Align(Scan("r", database.get_table("r").columns, alias="a"),
                      Scan("p", database.get_table("p").columns, alias="b"), None)
-        assert "Adjustment(align)" in database.explain(plan)
+        assert "Adjustment(align)" in database.explain(plan, Settings(enable_columnar=False))
+        assert "ColumnarAdjustment(align" in database.explain(plan)
 
     def test_unknown_table(self):
         database = Database()

@@ -14,7 +14,6 @@ import pickle
 
 import pytest
 
-from repro.columnar.runtime import numpy_available
 from repro.core.parallel import partition_hash, stable_hash
 from repro.engine.database import Database
 from repro.engine.executor import (
@@ -295,8 +294,6 @@ class TestShipCostCrossover:
         return database.explain(_align(database), Settings(parallel_workers=2, **overrides))
 
     def test_shm_model_adopts_exchange_at_mid_size(self):
-        if not numpy_available():
-            pytest.skip("shm transport requires NumPy")
         explain = self._explain(self.CROSSOVER_SIZE)
         assert "Exchange(align" in explain
         assert "kernel=columnar" in explain
@@ -306,8 +303,6 @@ class TestShipCostCrossover:
         assert "Exchange" not in explain
 
     def test_shm_knob_off_plans_like_the_pickle_model(self, monkeypatch):
-        if not numpy_available():
-            pytest.skip("shm transport requires NumPy")
         monkeypatch.setenv("REPRO_SHM", "0")
         explain = self._explain(self.CROSSOVER_SIZE)
         assert "Exchange" not in explain
@@ -327,8 +322,6 @@ class TestShmShipInTrace:
     """A traced run reports the transport that actually ran."""
 
     def test_shm_ship_recorded_after_execution(self):
-        if not numpy_available():
-            pytest.skip("shm transport requires NumPy")
         database = _database("random")
         physical = database.plan(_align(database), PARALLEL)
         assert isinstance(physical, ExchangeNode)
@@ -343,8 +336,6 @@ class TestShmShipInTrace:
         assert "ship=" not in physical.explain()
 
     def test_pickle_ship_recorded_when_shm_unavailable(self, monkeypatch):
-        if not numpy_available():
-            pytest.skip("shm transport requires NumPy")
         database = _database("random")
         physical = database.plan(_align(database), PARALLEL)
         assert isinstance(physical, ExchangeNode)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.columnar.encoding import encode_relation
+from repro.columnar.encoding import encode_relation, peek_endpoint_arrays
 from repro.engine.database import Database
 from repro.engine.statistics import (
     TableStatistics,
@@ -49,11 +49,10 @@ class TestStatisticsAreCacheNeutral:
 
     def test_no_cache_entries_created_by_statistics(self):
         _, relation, table = _registered()
-        assert relation.peek_derived(("columnar", "endpoints", "np")) is None
+        assert peek_endpoint_arrays(relation) is None
         TableStatistics(table).interval_statistics("ts", "te")
         # Still nothing cached: the scan path never populates `derived`.
-        for backend in ("np", "py"):
-            assert relation.peek_derived(("columnar", "endpoints", backend)) is None
+        assert peek_endpoint_arrays(relation) is None
         assert not relation.has_interval_index()
 
     def test_existing_caches_survive_statistics(self):

@@ -172,6 +172,9 @@ class TestIntervalJoinNode:
 
 
 class TestPlannerIntervalStrategy:
+    #: The group-construction join exists only in the row pipeline.
+    ROW = Settings(enable_columnar=False)
+
     def _database(self):
         database = Database()
         relation = generate_incumben(config=IncumbenConfig(size=150, seed=9))
@@ -186,14 +189,14 @@ class TestPlannerIntervalStrategy:
 
     def test_align_group_join_uses_interval_strategy(self):
         database = self._database()
-        explain = database.plan(self._align_plan(database)).explain()
+        explain = database.plan(self._align_plan(database), self.ROW).explain()
         assert "IntervalJoin" in explain
         assert "strategy=" in explain  # the choice is exposed in EXPLAIN
 
     def test_disabling_interval_join_falls_back(self):
         database = self._database()
         explain = database.plan(
-            self._align_plan(database), Settings(enable_intervaljoin=False)
+            self._align_plan(database), self.ROW.copy(enable_intervaljoin=False)
         ).explain()
         assert "IntervalJoin" not in explain
         assert "NestedLoopJoin" in explain
@@ -201,8 +204,8 @@ class TestPlannerIntervalStrategy:
     def test_alignment_result_identical_across_strategies(self):
         database = self._database()
         plan = self._align_plan(database)
-        with_interval = database.execute(plan, Settings())
-        without = database.execute(plan, Settings(enable_intervaljoin=False))
+        with_interval = database.execute(plan, self.ROW)
+        without = database.execute(plan, self.ROW.copy(enable_intervaljoin=False))
         assert sorted(with_interval.rows, key=repr) == sorted(without.rows, key=repr)
 
 

@@ -19,7 +19,6 @@ from repro.engine.database import Database
 from repro.relation.relation import TemporalRelation
 from repro.relation.schema import Schema
 from repro.storage.engine import StorageError
-from repro.temporal.interval import Interval
 
 
 @pytest.fixture(autouse=True)
@@ -122,7 +121,6 @@ class TestSnapshotSite:
 
 class TestShmSites:
     def test_create_fail_raises_shm_unavailable(self):
-        pytest.importorskip("numpy")
         from repro.columnar.shm import SegmentRegistry, ShmUnavailable
 
         faults.arm("shm.create_fail:count=1")
@@ -133,7 +131,6 @@ class TestShmSites:
             assert segment.buf is not None
 
     def test_attach_fail_raises_shm_unavailable(self):
-        pytest.importorskip("numpy")
         from repro.columnar.shm import SegmentRegistry, ShmUnavailable
 
         with SegmentRegistry() as registry:
@@ -143,7 +140,6 @@ class TestShmSites:
                 registry.attach(segment.name)
 
     def test_no_segment_leak_after_injected_attach_failure(self):
-        pytest.importorskip("numpy")
         from multiprocessing import shared_memory
 
         from repro.columnar.shm import SegmentRegistry, ShmUnavailable

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.columnar.runtime import numpy_available
 from repro.engine.database import Database
 from repro.engine.executor import ExchangeNode
 from repro.engine.executor.interval_join import IntervalJoinNode
@@ -21,8 +20,6 @@ from repro.engine.optimizer.settings import Settings
 from repro.engine.temporal_plans import align_plan, scan
 from repro.obs import trace as obs_trace
 from repro.workloads.synthetic import SyntheticConfig, generate_random
-
-needs_numpy = pytest.mark.skipif(not numpy_available(), reason="NumPy not installed")
 
 #: Row pipeline with only the interval strategies in play — the chosen
 #: IntervalJoin node is then overridden per test case to pin sweep vs probe.
@@ -44,15 +41,11 @@ STRATEGIES = {
         parallel_min_rows=0.0,
         parallel_pickle_cost=0.0,  # the row exchange must win adoption
     ),
-    "columnar": Settings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    ),
+    "columnar": Settings(parallel_workers=0),
     "shm": Settings(
         parallel_workers=2,
         parallel_setup_cost=0.0,
         parallel_min_rows=0.0,
-        columnar_min_rows=0.0,
-        columnar_setup_cost=0.0,
     ),
 }
 
@@ -91,16 +84,7 @@ def _physical(database, strategy):
 
 
 class TestSpanTreeMatchesExplain:
-    @pytest.mark.parametrize(
-        "strategy",
-        [
-            "sweep",
-            "index",
-            "parallel",
-            pytest.param("columnar", marks=needs_numpy),
-            pytest.param("shm", marks=needs_numpy),
-        ],
-    )
+    @pytest.mark.parametrize("strategy", ["sweep", "index", "parallel", "columnar", "shm"])
     def test_span_tree_mirrors_the_plan_tree(self, strategy):
         database = _database()
         physical = _physical(database, strategy)
@@ -125,10 +109,7 @@ class TestSpanTreeMatchesExplain:
             line.strip().rsplit("  (rows=", 1)[0] for line in explain_lines
         ]
 
-    @pytest.mark.parametrize(
-        "strategy",
-        ["parallel", pytest.param("shm", marks=needs_numpy)],
-    )
+    @pytest.mark.parametrize("strategy", ["parallel", "shm"])
     def test_exchange_bypasses_partitions_and_the_trace_says_so(self, strategy):
         # Both exchange transports read the partition nodes' *children*
         # directly — the Partition spans legitimately never execute, and

@@ -2,8 +2,7 @@
 
 The load-bearing contract of the columnar layer (and of PR 2's parallelism
 before it) is strategy transparency: row sweep ≡ interval index ≡ partition
-parallel ≡ columnar (NumPy) ≡ columnar (pure-Python fallback), on every
-input.  Hypothesis drives the comparison over all three synthetic families
+parallel ≡ columnar, on every input.  Hypothesis drives the comparison over all three synthetic families
 plus an adversarial edge family with empty relations, empty intervals,
 point-adjacent intervals and duplicate endpoints — exactly the inputs where
 off-by-one bugs in ``searchsorted`` boundaries would hide.
@@ -18,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro import Interval, Schema, TemporalRelation, predicates
-from repro.columnar.runtime import forced_python
 from repro.core.alignment import align_relation
 from repro.core.normalization import normalize
 from repro.engine.database import Database
@@ -88,8 +86,11 @@ def relation_pairs():
 
 
 def _align_all_strategies(left, right, theta, equi):
-    results = {
+    # "auto" runs before "index" caches an interval index on ``right``, so
+    # it takes the columnar path rather than the index probe.
+    return {
         "sweep": align_relation(left, right, theta, equi_attributes=equi, strategy="sweep"),
+        "auto": align_relation(left, right, theta, equi_attributes=equi, strategy="auto"),
         "index": align_relation(left, right, theta, equi_attributes=equi, strategy="index"),
         "parallel": align_relation(
             left, right, theta, equi_attributes=equi, strategy="parallel", workers=2
@@ -98,11 +99,6 @@ def _align_all_strategies(left, right, theta, equi):
             left, right, theta, equi_attributes=equi, strategy="columnar"
         ),
     }
-    with forced_python():
-        results["columnar-python"] = align_relation(
-            left, right, theta, equi_attributes=equi, strategy="columnar"
-        )
-    return results
 
 
 class TestAlignmentStrategyEquivalence:
@@ -131,10 +127,7 @@ class TestAlignmentStrategyEquivalence:
         theta = predicates.attr_eq("cat")
         expected = align_relation(left, right, theta, strategy="sweep")
         columnar = align_relation(left, right, theta, strategy="columnar")
-        with forced_python():
-            fallback = align_relation(left, right, theta, strategy="columnar")
         assert columnar == expected
-        assert fallback == expected
 
 
 class TestShmExchangeEquivalence:
@@ -144,14 +137,12 @@ class TestShmExchangeEquivalence:
     synthetic families plus the adversarial edge family) the partition-
     parallel plan shipping shared-memory columnar frames must produce the
     relation of the pinned serial row pipeline and of the serial columnar
-    batch, at every pool size, and under both forced fallbacks (NumPy
-    hidden → row transport; ``REPRO_SHM=0`` → pickled-row transport).
+    batch, at every pool size, and under the forced fallback
+    (``REPRO_SHM=0`` → pickled-row transport).
     """
 
     SERIAL_ROW = EngineSettings(parallel_workers=0, enable_columnar=False)
-    SERIAL_COLUMNAR = EngineSettings(
-        parallel_workers=0, columnar_min_rows=0.0, columnar_setup_cost=0.0
-    )
+    SERIAL_COLUMNAR = EngineSettings(parallel_workers=0)
 
     @staticmethod
     def _parallel(workers: int) -> EngineSettings:
@@ -160,8 +151,6 @@ class TestShmExchangeEquivalence:
             parallel_setup_cost=0.0,
             parallel_tuple_cost=0.0,
             parallel_min_rows=0.0,
-            columnar_min_rows=0.0,
-            columnar_setup_cost=0.0,
         )
 
     @staticmethod
@@ -212,14 +201,6 @@ class TestShmExchangeEquivalence:
             os.environ.pop("REPRO_SHM", None)
         assert fallback == expected
 
-    @SETTINGS
-    @given(relation_pairs(), st.sampled_from(["align", "normalize"]))
-    def test_no_numpy_fallback_matches(self, pair, kind):
-        expected = self._engine_rows(pair, kind, self.SERIAL_ROW)
-        with forced_python():
-            fallback = self._engine_rows(pair, kind, self._parallel(2))
-        assert fallback == expected
-
 
 class TestNormalizationStrategyEquivalence:
     @SETTINGS
@@ -229,11 +210,8 @@ class TestNormalizationStrategyEquivalence:
         expected = normalize(left, right, attributes, strategy="sweep")
         parallel = normalize(left, right, attributes, strategy="parallel", workers=2)
         columnar = normalize(left, right, attributes, strategy="columnar")
-        with forced_python():
-            fallback = normalize(left, right, attributes, strategy="columnar")
         assert parallel == expected
         assert columnar == expected
-        assert fallback == expected
 
     @SETTINGS
     @given(relation_pairs())

@@ -77,6 +77,15 @@ class TestExplain:
         for line in operators:
             assert "actual time=" in line or "(never executed)" in line
 
+    def test_explain_analyze_reports_the_executed_columnar_batch(self, connection):
+        # Equi-θ ALIGN plans the columnar batch even at two tuples a side,
+        # and the traced run reports the path that actually executed.
+        sql = "EXPLAIN ANALYZE SELECT * FROM (t ALIGN s ON t.k = s.k) a"
+        lines = _plan_lines(connection.execute(sql))
+        batch = [line for line in lines if "ColumnarAdjustment(align" in line]
+        assert len(batch) == 1
+        assert "executed=columnar" in batch[0]
+
 
 class TestExplainInTransactions:
     def test_explain_analyze_sees_the_transaction_snapshot(self, connection):

@@ -210,7 +210,7 @@ class TestPlannerSubstitution:
         assert "ViewScan" in explained
         disabled = database.plan(plan, Settings(enable_viewscan=False)).explain()
         assert "ViewScan" not in disabled
-        assert "Adjustment(align)" in disabled
+        assert "ColumnarAdjustment(align" in disabled
 
     def test_different_condition_does_not_match(self, database):
         database.views.create_align_view("v", "l", "r", condition=equi_cat())
